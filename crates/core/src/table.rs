@@ -10,12 +10,14 @@
 //! so only lookups whose entry genuinely lives in memory pay the search.
 
 use crate::entry::EntryState;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use suv_cache::TagArray;
 use suv_mem::PoolAllocator;
 use suv_sig::SummarySignature;
 use suv_trace::RedirectLevel;
-use suv_types::{CacheGeom, CoreId, Cycle, LineAddr, RedirectStats, SuvConfig};
+use suv_types::{
+    CacheGeom, CoreId, Cycle, FxHashMap, FxHashSet, LineAddr, RedirectStats, SuvConfig, LINE_SHIFT,
+};
 
 /// A transaction's in-flight operation on one line's redirect state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,6 +72,168 @@ pub struct LookupHit {
     pub foreign_delete: bool,
 }
 
+/// Empty index bucket / no neighbour on the recency list.
+const NIL: u32 = u32::MAX;
+
+/// A map key for a line: its line index. [`FxHashMap`] hashes a word by one
+/// multiply with no finalizer, so keying by the byte address (six zero low
+/// bits) would crowd every key into 1/64 of the buckets.
+fn key(line: LineAddr) -> u64 {
+    debug_assert_eq!(line & ((1 << LINE_SHIFT) - 1), 0, "{line:#x} is not line-aligned");
+    line >> LINE_SHIFT
+}
+
+/// One resident first-level entry and its recency-list neighbours
+/// (`prev` was used more recently, `next` less recently).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    line: LineAddr,
+    prev: u32,
+    next: u32,
+}
+
+/// A core's first-level redirect table: the paper's zero-latency,
+/// fully-associative CAM with true-LRU replacement.
+///
+/// An open-addressed line index (linear probing, at most half full) finds a
+/// line's slot in O(1); the slots are threaded on a recency list whose LRU
+/// end is the victim. A one-set `TagArray` stamps every hit and insert with
+/// a fresh tick and evicts the minimum stamp — the same order — so this
+/// evicts exactly the line that array would, without scanning every way.
+/// At power-of-two sizes the slots plus the index take 24 bytes per entry,
+/// as the array's ways did.
+#[derive(Debug)]
+struct FirstLevel {
+    slots: Vec<Slot>,
+    /// Index bucket -> slot number (`NIL` = empty); a power of two long.
+    index: Vec<u32>,
+    /// `64 - log2(index.len())`: a Fibonacci hash keeps its top bits.
+    shift: u32,
+    mru: u32,
+    lru: u32,
+    capacity: usize,
+}
+
+impl FirstLevel {
+    fn new(capacity: usize) -> Self {
+        assert!((1..NIL as usize).contains(&capacity), "first-level size {capacity} out of range");
+        let buckets = (2 * capacity).next_power_of_two();
+        FirstLevel {
+            slots: Vec::with_capacity(capacity),
+            index: vec![NIL; buckets],
+            shift: 64 - buckets.trailing_zeros(),
+            mru: NIL,
+            lru: NIL,
+            capacity,
+        }
+    }
+
+    /// The bucket a line's probe run starts at.
+    fn home(&self, line: LineAddr) -> usize {
+        (key(line).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// The bucket holding `line` (`true`), or the empty bucket that ends
+    /// its probe run (`false`).
+    fn probe(&self, line: LineAddr) -> (usize, bool) {
+        let mask = self.index.len() - 1;
+        let mut i = self.home(line);
+        loop {
+            match self.index[i] {
+                NIL => return (i, false),
+                s if self.slots[s as usize].line == line => return (i, true),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Empty bucket `hole`, shifting the rest of its probe run back so
+    /// every remaining line stays reachable from its home bucket.
+    fn remove_at(&mut self, mut hole: usize) {
+        let mask = self.index.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let s = self.index[i];
+            if s == NIL {
+                break;
+            }
+            // The line may fill the hole iff the hole lies on its path
+            // from its home bucket to `i`.
+            let start = self.home(self.slots[s as usize].line);
+            if i.wrapping_sub(start) & mask >= i.wrapping_sub(hole) & mask {
+                self.index[hole] = s;
+                hole = i;
+            }
+        }
+        self.index[hole] = NIL;
+    }
+
+    fn unlink(&mut self, s: u32) {
+        let Slot { prev, next, .. } = self.slots[s as usize];
+        match prev {
+            NIL => self.mru = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.lru = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    fn push_mru(&mut self, s: u32) {
+        let old = self.mru;
+        self.slots[s as usize].prev = NIL;
+        self.slots[s as usize].next = old;
+        match old {
+            NIL => self.lru = s,
+            o => self.slots[o as usize].prev = s,
+        }
+        self.mru = s;
+    }
+
+    fn promote(&mut self, s: u32) {
+        if self.mru != s {
+            self.unlink(s);
+            self.push_mru(s);
+        }
+    }
+
+    /// LRU-touch `line`; true on hit.
+    fn touch(&mut self, line: LineAddr) -> bool {
+        let (i, hit) = self.probe(line);
+        if hit {
+            self.promote(self.index[i]);
+        }
+        hit
+    }
+
+    /// Insert (or touch) `line`; returns the line evicted to make room.
+    fn insert(&mut self, line: LineAddr) -> Option<LineAddr> {
+        let (i, hit) = self.probe(line);
+        if hit {
+            self.promote(self.index[i]);
+            return None;
+        }
+        if self.slots.len() < self.capacity {
+            let s = self.slots.len() as u32;
+            self.slots.push(Slot { line, prev: NIL, next: NIL });
+            self.index[i] = s;
+            self.push_mru(s);
+            return None;
+        }
+        let s = self.lru;
+        let victim = self.slots[s as usize].line;
+        self.remove_at(self.probe(victim).0);
+        self.slots[s as usize].line = line;
+        // The backward shift may have moved the bucket found above.
+        let (i, _) = self.probe(line);
+        self.index[i] = s;
+        self.promote(s);
+        Some(victim)
+    }
+}
+
 /// The chip-wide redirect table with its two hardware levels.
 ///
 /// The second level is sharded into address-interleaved banks
@@ -79,10 +243,12 @@ pub struct LookupHit {
 /// function of the line address, so it is deterministic and needs no
 /// inter-bank coordination.
 pub struct RedirectTable {
-    map: HashMap<LineAddr, LineEntry>,
-    l1: Vec<TagArray<()>>,
+    /// Line index ([`key`]) -> redirect state.
+    map: FxHashMap<u64, LineEntry>,
+    l1: Vec<FirstLevel>,
     l2: Vec<TagArray<()>>,
-    in_memory: HashSet<LineAddr>,
+    /// Line indices of the entries swapped out to memory.
+    in_memory: FxHashSet<u64>,
     tx_entries: Vec<BTreeSet<LineAddr>>,
     ovf_l1: Vec<bool>,
     ovf_mem: Vec<bool>,
@@ -98,13 +264,6 @@ pub struct RedirectTable {
 impl RedirectTable {
     /// Build the table for `n_cores` cores.
     pub fn new(n_cores: usize, cfg: &SuvConfig) -> Self {
-        let l1_geom = CacheGeom {
-            // One set x l1_entries ways: fully associative.
-            capacity_bytes: cfg.l1_entries as u64 * 64,
-            ways: cfg.l1_entries,
-            line_bytes: 64,
-            latency: cfg.l1_latency,
-        };
         // The configured entry budget is split evenly across the banks;
         // with one bank (<=16 cores) this is exactly the unbanked table.
         let banks = cfg.l2_bank_count(n_cores);
@@ -115,10 +274,10 @@ impl RedirectTable {
             latency: cfg.l2_latency,
         };
         RedirectTable {
-            map: HashMap::new(),
-            l1: (0..n_cores).map(|_| TagArray::new(&l1_geom)).collect(),
+            map: FxHashMap::default(),
+            l1: (0..n_cores).map(|_| FirstLevel::new(cfg.l1_entries)).collect(),
             l2: (0..banks).map(|_| TagArray::new(&l2_geom)).collect(),
-            in_memory: HashSet::new(),
+            in_memory: FxHashSet::default(),
             tx_entries: (0..n_cores).map(|_| BTreeSet::new()).collect(),
             ovf_l1: vec![false; n_cores],
             ovf_mem: vec![false; n_cores],
@@ -161,15 +320,15 @@ impl RedirectTable {
     /// Install `line` into the caching hierarchy after a lookup or insert,
     /// tracking redirect-table overflow events.
     fn install(&mut self, core: CoreId, line: LineAddr) {
-        if let Some(ev) = self.l1[core].insert(line, false) {
-            if self.tx_entries[core].contains(&ev.line) {
+        if let Some(ev) = self.l1[core].insert(line) {
+            if self.tx_entries[core].contains(&ev) {
                 self.ovf_l1[core] = true;
             }
         }
         let bank = self.bank_of(line);
         if let Some(ev) = self.l2[bank].insert(line, false) {
-            if self.map.contains_key(&ev.line) {
-                self.in_memory.insert(ev.line);
+            if self.map.contains_key(&key(ev.line)) {
+                self.in_memory.insert(key(ev.line));
                 if self.log_swaps {
                     self.swap_log.push(ev.line);
                 }
@@ -180,7 +339,7 @@ impl RedirectTable {
                 }
             }
         }
-        self.in_memory.remove(&line);
+        self.in_memory.remove(&key(line));
     }
 
     /// Look up a line's redirect state on behalf of `core`. Returns the
@@ -210,7 +369,7 @@ impl RedirectTable {
                 lat = self.cfg.l1_latency + self.cfg.l2_latency;
                 level = RedirectLevel::L2;
                 self.install(core, line);
-            } else if self.map.contains_key(&line) {
+            } else if self.map.contains_key(&key(line)) {
                 // Swapped out: the software search in main memory.
                 self.stats.mem_lookups += 1;
                 lat = self.cfg.l1_latency + self.cfg.l2_latency + self.cfg.mem_search_cycles;
@@ -225,7 +384,7 @@ impl RedirectTable {
                 level = RedirectLevel::L1;
             }
         }
-        let hit = self.map.get(&line).map(|e| LookupHit {
+        let hit = self.map.get(&key(line)).map(|e| LookupHit {
             committed: e.committed,
             own: e.transients.iter().find(|(c, _)| *c == core).map(|(_, t)| *t),
             foreign_delete: e
@@ -238,7 +397,7 @@ impl RedirectTable {
 
     /// Record a transient operation by `core` on `line`.
     pub fn insert_transient(&mut self, core: CoreId, line: LineAddr, t: Transient) {
-        let e = self.map.entry(line).or_default();
+        let e = self.map.entry(key(line)).or_default();
         debug_assert!(
             !e.transients.iter().any(|(c, _)| *c == core),
             "core {core} already has a transient on {line:#x}"
@@ -266,7 +425,7 @@ impl RedirectTable {
         let lines = std::mem::take(&mut self.tx_entries[core]);
         let n = lines.len();
         for line in lines {
-            let e = self.map.get_mut(&line).expect("tx entry must exist");
+            let e = self.map.get_mut(&key(line)).expect("tx entry must exist");
             let idx =
                 e.transients.iter().position(|(c, _)| *c == core).expect("tx transient must exist");
             let (_, t) = e.transients.swap_remove(idx);
@@ -290,8 +449,8 @@ impl RedirectTable {
                 }
             }
             if e.is_empty() {
-                self.map.remove(&line);
-                self.in_memory.remove(&line);
+                self.map.remove(&key(line));
+                self.in_memory.remove(&key(line));
             }
         }
         n
@@ -303,7 +462,7 @@ impl RedirectTable {
         let lines = std::mem::take(&mut self.tx_entries[core]);
         let n = lines.len();
         for line in lines {
-            let e = self.map.get_mut(&line).expect("tx entry must exist");
+            let e = self.map.get_mut(&key(line)).expect("tx entry must exist");
             let idx =
                 e.transients.iter().position(|(c, _)| *c == core).expect("tx transient must exist");
             let (_, t) = e.transients.swap_remove(idx);
@@ -311,8 +470,8 @@ impl RedirectTable {
                 pool.free_slot(slot);
             }
             if e.is_empty() {
-                self.map.remove(&line);
-                self.in_memory.remove(&line);
+                self.map.remove(&key(line));
+                self.in_memory.remove(&key(line));
             }
         }
         n
@@ -325,7 +484,7 @@ impl RedirectTable {
             if !self.tx_entries[core].remove(line) {
                 continue;
             }
-            let e = self.map.get_mut(line).expect("tx entry must exist");
+            let e = self.map.get_mut(&key(*line)).expect("tx entry must exist");
             let idx =
                 e.transients.iter().position(|(c, _)| *c == core).expect("tx transient must exist");
             let (_, t) = e.transients.swap_remove(idx);
@@ -333,8 +492,8 @@ impl RedirectTable {
                 pool.free_slot(slot);
             }
             if e.is_empty() {
-                self.map.remove(line);
-                self.in_memory.remove(line);
+                self.map.remove(&key(*line));
+                self.in_memory.remove(&key(*line));
             }
         }
     }
@@ -395,7 +554,8 @@ impl RedirectTable {
             }
             Ok(())
         };
-        for (&line, e) in &self.map {
+        for (&k, e) in &self.map {
+            let line = k << LINE_SHIFT;
             // INV-7: flash commit/abort leaves zero dangling (empty) entries.
             if e.is_empty() {
                 return Err(format!("INV-7 line {line:#x}: dangling empty entry"));
@@ -442,7 +602,7 @@ impl RedirectTable {
             for &line in set {
                 let ok = self
                     .map
-                    .get(&line)
+                    .get(&key(line))
                     .is_some_and(|e| e.transients.iter().any(|(c2, _)| *c2 == c));
                 if !ok {
                     return Err(format!(
@@ -604,7 +764,7 @@ mod tests {
         }
         assert!(t.swapped_out() > 0, "second level must have spilled");
         // Find a line that is in memory and look it up from core 1.
-        let spilled = *t.in_memory.iter().next().unwrap();
+        let spilled = *t.in_memory.iter().next().unwrap() << LINE_SHIFT;
         let (hit, lat) = t.lookup(1, spilled);
         assert!(hit.is_some());
         assert_eq!(lat, cfg.l2_latency + cfg.mem_search_cycles);
@@ -682,6 +842,38 @@ mod prop_tests {
     use super::*;
     use proptest::prelude::*;
     use suv_mem::Region;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The first level against a one-set `TagArray` of the same size:
+        /// under any touch/insert stream both answer every hit/miss alike,
+        /// evict the same line, and hold the same lines — so replacing the
+        /// array leaves the lookup schedule unchanged.
+        #[test]
+        fn first_level_matches_one_set_tag_array(
+            ways in 1usize..=16,
+            ops in proptest::collection::vec((any::<bool>(), 0u64..40), 1..400),
+        ) {
+            let geom =
+                CacheGeom { capacity_bytes: ways as u64 * 64, ways, line_bytes: 64, latency: 0 };
+            let mut reference: TagArray<()> = TagArray::new(&geom);
+            let mut l1 = FirstLevel::new(ways);
+            for (insert, l) in ops {
+                let line = l << LINE_SHIFT;
+                if insert {
+                    let ev = reference.insert(line, false).map(|e| e.line);
+                    prop_assert_eq!(l1.insert(line), ev, "insert {:#x}", line);
+                } else {
+                    prop_assert_eq!(l1.touch(line), reference.touch(line), "touch {:#x}", line);
+                }
+                for l in 0u64..40 {
+                    let line = l << LINE_SHIFT;
+                    prop_assert_eq!(l1.probe(line).1, reference.contains(line), "{:#x}", line);
+                }
+            }
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]

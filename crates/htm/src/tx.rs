@@ -1,8 +1,7 @@
 //! Per-core transaction descriptors.
 
-use std::collections::HashSet;
 use suv_sig::Signature;
-use suv_types::{Cycle, LineAddr, TxSite};
+use suv_types::{Cycle, FxHashSet, LineAddr, TxSite};
 
 /// Lifecycle of a core's hardware transaction.
 ///
@@ -32,9 +31,7 @@ pub struct NestFrame {
     /// This level's write signature.
     pub wsig: Signature,
     /// This level's exact write set.
-    pub write_set: HashSet<LineAddr>,
-    /// This level's exact read set.
-    pub read_set: HashSet<LineAddr>,
+    pub write_set: FxHashSet<LineAddr>,
 }
 
 /// State of (at most) one transaction per core.
@@ -70,9 +67,7 @@ pub struct TxState {
     /// Exact write set (distinct lines) — used for lazy commit validation
     /// and overflow statistics; the signatures remain the *detection*
     /// mechanism.
-    pub write_set: HashSet<LineAddr>,
-    /// Distinct lines read (statistics only).
-    pub read_set: HashSet<LineAddr>,
+    pub write_set: FxHashSet<LineAddr>,
     /// Consecutive aborts of the current dynamic transaction (backoff).
     pub attempts: u32,
     /// Cycle at which the current attempt began.
@@ -110,8 +105,7 @@ impl TxState {
             depth: 0,
             rsig: make(sig_bits, sig_hashes),
             wsig: make(sig_bits, sig_hashes),
-            write_set: HashSet::new(),
-            read_set: HashSet::new(),
+            write_set: FxHashSet::default(),
             attempts: 0,
             begin_time: 0,
             overflowed_l1: false,
@@ -134,8 +128,7 @@ impl TxState {
         self.frames.push(NestFrame {
             rsig: self.make_sig(),
             wsig: self.make_sig(),
-            write_set: HashSet::new(),
-            read_set: HashSet::new(),
+            write_set: FxHashSet::default(),
         });
     }
 
@@ -148,13 +141,11 @@ impl TxState {
                 parent.rsig.union_with(&f.rsig);
                 parent.wsig.union_with(&f.wsig);
                 parent.write_set.extend(f.write_set);
-                parent.read_set.extend(f.read_set);
             }
             None => {
                 self.rsig.union_with(&f.rsig);
                 self.wsig.union_with(&f.wsig);
                 self.write_set.extend(f.write_set);
-                self.read_set.extend(f.read_set);
             }
         }
     }
@@ -168,14 +159,8 @@ impl TxState {
     /// Record a transactional read at the current level.
     pub fn note_read(&mut self, line: LineAddr) {
         match self.frames.last_mut() {
-            Some(f) => {
-                f.rsig.insert(line);
-                f.read_set.insert(line);
-            }
-            None => {
-                self.rsig.insert(line);
-                self.read_set.insert(line);
-            }
+            Some(f) => f.rsig.insert(line),
+            None => self.rsig.insert(line),
         }
     }
 
@@ -246,7 +231,6 @@ impl TxState {
         self.rsig.clear();
         self.wsig.clear();
         self.write_set.clear();
-        self.read_set.clear();
         self.overflowed_l1 = false;
         self.frames.clear();
     }
