@@ -2,7 +2,9 @@
 //! through the deterministic scheduler (host-side performance).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::hint::black_box;
 use suv::prelude::*;
+use suv::sim::Scheduler;
 use suv::types::Addr;
 
 struct Spin {
@@ -44,6 +46,19 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| {
             let mut w = by_name("ssca2", SuiteScale::Tiny).unwrap();
             run_workload(&cfg, SchemeKind::SuvTm, w.as_mut())
+        });
+    });
+    // One taken baton pass: every core advances one cycle past the queue
+    // head, so 16 cores round-robin through yield + dispatch.
+    g.bench_function("sched_yield_dispatch_16", |b| {
+        let sched = Scheduler::new(16);
+        let mut clock = [0u64; 16];
+        let mut current = sched.start();
+        b.iter(|| {
+            clock[current] += 1;
+            assert!(sched.yield_decision(current, black_box(clock[current])));
+            current = sched.dispatch();
+            current
         });
     });
     g.finish();

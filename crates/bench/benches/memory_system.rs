@@ -35,6 +35,22 @@ fn bench_mem(c: &mut Criterion) {
             black_box(f.latency)
         });
     });
+    // The transaction-end gang-clear with a full L1 (512 resident lines)
+    // of which a small write set is marked.
+    g.bench_function("clear_speculative_4_marked", |b| {
+        let mut s = MemorySystem::new(&cfg);
+        let lines = cfg.l1.lines() as u64;
+        for i in 0..lines {
+            s.fill(0, 0, 0x10_0000 + i * 64, AccessKind::Store);
+        }
+        assert_eq!(s.l1_len(0), lines as usize);
+        b.iter(|| {
+            for i in 0..4 {
+                s.mark_speculative(0, 0x10_0000 + i * 0x1040);
+            }
+            black_box(s.clear_speculative(0))
+        });
+    });
     g.finish();
 }
 

@@ -199,16 +199,9 @@ impl<M: Clone + Default> TagArray<M> {
         self.sets[s].iter().find(|w| w.line == line).map(|w| &w.meta)
     }
 
-    /// Iterate over all resident lines.
-    pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.sets.iter().flat_map(|s| s.iter().map(|w| w.line))
-    }
-
-    /// Iterate mutably over every resident line's metadata (gang
-    /// operations like FasTM's speculative-bit clear, without re-finding
-    /// each line by address).
-    pub fn metas_mut(&mut self) -> impl Iterator<Item = &mut M> + '_ {
-        self.sets.iter_mut().flat_map(|s| s.iter_mut().map(|w| &mut w.meta))
+    /// Iterate over all resident lines with their metadata.
+    pub fn resident(&self) -> impl Iterator<Item = (LineAddr, &M)> + '_ {
+        self.sets.iter().flat_map(|s| s.iter().map(|w| (w.line, &w.meta)))
     }
 
     /// Number of resident lines.
@@ -342,22 +335,6 @@ mod tests {
         assert!(!c.is_dirty(0x40));
         assert!(!c.take_dirty(0x40), "second take sees a clean line");
         assert!(c.contains(0x40), "take_dirty must not evict");
-    }
-
-    #[test]
-    fn metas_mut_visits_every_resident_line() {
-        let mut c: TagArray<u32> =
-            TagArray::new(&CacheGeom { capacity_bytes: 512, ways: 2, line_bytes: 64, latency: 1 });
-        for i in 0..4u64 {
-            c.insert(i * 64, false);
-        }
-        for m in c.metas_mut() {
-            *m += 1;
-        }
-        for i in 0..4u64 {
-            assert_eq!(c.meta(i * 64), Some(&1));
-        }
-        assert_eq!(c.metas_mut().count(), 4);
     }
 
     #[test]

@@ -66,6 +66,12 @@ pub struct MemStats {
 pub struct MemorySystem {
     cfg: MachineConfig,
     l1s: Vec<TagArray<L1Meta>>,
+    /// Per core, every line whose speculative bit went false→true since
+    /// the last [`Self::clear_speculative`]: a superset of the core's
+    /// marked lines (an evicted line stays listed; a refilled and
+    /// re-marked one is listed twice), so the gang-clear visits only
+    /// these instead of the whole L1.
+    marked: Vec<Vec<LineAddr>>,
     l2: TagArray<()>,
     dir: Directory,
     mesh: Mesh,
@@ -83,6 +89,7 @@ impl MemorySystem {
         MemorySystem {
             cfg: *cfg,
             l1s: (0..cfg.n_cores).map(|_| TagArray::new(&cfg.l1)).collect(),
+            marked: vec![Vec::new(); cfg.n_cores],
             l2: TagArray::new(&cfg.l2),
             dir: Directory::new(),
             mesh: Mesh::new(cfg),
@@ -378,8 +385,10 @@ impl MemorySystem {
     }
 
     /// Sweep every directory-tracked line and every L1-resident line
-    /// through [`Self::check_line_invariants`]. `Err` carries the first
-    /// violation.
+    /// through [`Self::check_line_invariants`], and check that every
+    /// speculatively marked L1 line is on its core's marked-line list
+    /// (the bounded [`Self::clear_speculative`] relies on it). `Err`
+    /// carries the first violation.
     pub fn check_invariants(&self) -> Result<(), String> {
         // Sort so the *first* violation reported is independent of map
         // iteration order (the checker is off the timing path; the sort is
@@ -391,12 +400,30 @@ impl MemorySystem {
         }
         // Lines resident in an L1 but absent from the directory would be
         // skipped above (a dropped sharer bit erases the entry), so sweep
-        // the caches too.
+        // the caches too. The same pass picks out the speculatively marked
+        // lines, each of which must be on the core's marked-line list.
         for c in 0..self.cfg.n_cores {
-            let mut resident: Vec<LineAddr> = self.l1s[c].resident_lines().collect();
+            let mut resident = Vec::with_capacity(self.l1s[c].len());
+            let mut speculative = Vec::new();
+            for (line, m) in self.l1s[c].resident() {
+                resident.push(line);
+                if m.speculative {
+                    speculative.push(line);
+                }
+            }
             resident.sort_unstable();
             for line in resident {
                 self.check_line_invariants(line)?;
+            }
+            if !speculative.is_empty() {
+                speculative.sort_unstable();
+                let mut marked = self.marked[c].clone();
+                marked.sort_unstable();
+                if let Some(line) = speculative.iter().find(|l| marked.binary_search(l).is_err()) {
+                    return Err(format!(
+                        "INV-14 line {line:#x}: core {c} holds it speculative but never recorded the mark"
+                    ));
+                }
             }
         }
         Ok(())
@@ -407,6 +434,15 @@ impl MemorySystem {
     /// the seeded INV-3 bug the oracle must catch.
     pub fn inject_drop_sharer(&mut self, addr: Addr, core: CoreId) {
         self.dir.remove_sharer(line_of(addr), core);
+    }
+
+    /// Fault injection for checker self-tests: set the speculative bit of
+    /// `core`'s resident copy without recording it on the marked-line
+    /// list — a mark the bounded gang-clear would leak. Returns false when
+    /// the line is not resident.
+    #[cfg(test)]
+    fn inject_unrecorded_mark(&mut self, addr: Addr, core: CoreId) -> bool {
+        self.l1s[core].meta_mut(line_of(addr)).map(|m| m.speculative = true).is_some()
     }
 
     /// [`fill`](Self::fill), plus trace events for the miss: an `L1Miss`
@@ -432,9 +468,12 @@ impl MemorySystem {
     /// Mark `core`'s copy of the line as speculatively written (FasTM).
     /// Returns false when the line is not resident.
     pub fn mark_speculative(&mut self, core: CoreId, addr: Addr) -> bool {
-        match self.l1s[core].meta_mut(line_of(addr)) {
+        let line = line_of(addr);
+        match self.l1s[core].meta_mut(line) {
             Some(m) => {
-                m.speculative = true;
+                if !std::mem::replace(&mut m.speculative, true) {
+                    self.marked[core].push(line);
+                }
                 true
             }
             None => false,
@@ -442,14 +481,14 @@ impl MemorySystem {
     }
 
     /// Clear all speculative marks in `core`'s L1; returns how many lines
-    /// were marked (the gang-clear at commit/abort). Single pass over the
-    /// tag array instead of one by-address lookup per resident line.
+    /// were marked (the gang-clear at commit/abort). Visits only the
+    /// lines on the core's marked-line list, re-found by address; a
+    /// listed line that was evicted, or listed twice, counts at most once.
     pub fn clear_speculative(&mut self, core: CoreId) -> u64 {
         let mut n = 0;
-        for m in self.l1s[core].metas_mut() {
-            if m.speculative {
-                m.speculative = false;
-                n += 1;
+        for line in self.marked[core].drain(..) {
+            if let Some(m) = self.l1s[core].meta_mut(line) {
+                n += u64::from(std::mem::replace(&mut m.speculative, false));
             }
         }
         n
@@ -611,6 +650,51 @@ mod tests {
         s.mark_speculative(0, 0x140);
         assert_eq!(s.clear_speculative(0), 2);
         assert_eq!(s.clear_speculative(0), 0);
+    }
+
+    /// A marked line that is evicted, refilled and marked again sits on
+    /// the marked-line list twice but is one marked line: counted once,
+    /// and cleared for good.
+    #[test]
+    fn remarked_refill_is_cleared_once() {
+        let mut cfg = MachineConfig::small_test();
+        cfg.l1.capacity_bytes = 128; // 1 set x 2 ways
+        cfg.l1.ways = 2;
+        let mut s = MemorySystem::new(&cfg);
+        s.fill(0, 0, 0x0, AccessKind::Store);
+        assert!(s.mark_speculative(0, 0x0));
+        assert!(s.mark_speculative(0, 0x0), "a second mark of a marked line is not a transition");
+        s.fill(10, 0, 0x40, AccessKind::Load);
+        let ev = s.fill(20, 0, 0x80, AccessKind::Load).evicted.expect("eviction");
+        assert_eq!(ev.line, 0x0);
+        assert!(ev.speculative);
+        s.fill(30, 0, 0x0, AccessKind::Store);
+        assert!(s.mark_speculative(0, 0x0));
+        assert_eq!(s.marked[0], vec![0x0, 0x0], "evicted line stays listed, refill re-listed");
+        s.check_invariants().expect("every mark recorded");
+        assert_eq!(s.clear_speculative(0), 1, "one resident marked line");
+        assert!(s.marked[0].is_empty());
+        // Nothing stays marked: flushing the set reports clean evictions.
+        for (t, line) in [(40, 0x100), (50, 0x140)] {
+            if let Some(ev) = s.fill(t, 0, line, AccessKind::Load).evicted {
+                assert!(!ev.speculative, "line {:#x} kept its mark", ev.line);
+            }
+        }
+    }
+
+    /// Seeded self-test for the marked-line audit: a speculative bit set
+    /// behind the list's back is exactly what the bounded clear would
+    /// leak, and `check_invariants` must name it.
+    #[test]
+    fn audit_catches_unrecorded_mark() {
+        let mut s = sys();
+        s.fill(0, 1, 0x2000, AccessKind::Store);
+        s.fill(0, 1, 0x2040, AccessKind::Store);
+        assert!(s.mark_speculative(1, 0x2000));
+        s.check_invariants().expect("recorded marks are clean");
+        assert!(s.inject_unrecorded_mark(0x2040, 1));
+        let err = s.check_invariants().expect_err("unrecorded mark must be reported");
+        assert!(err.starts_with("INV-14 line 0x2040: core 1"), "{err}");
     }
 
     #[test]

@@ -1610,6 +1610,44 @@ mod nesting_tests {
         }
     }
 
+    /// The gang-clear at the outer commit must also clear marks left by a
+    /// partially aborted inner frame (LogTM-SE keeps those lines resident;
+    /// FasTM invalidates them). Flushing the L1 afterwards must report no
+    /// speculative eviction.
+    #[test]
+    fn partial_abort_leaves_no_mark_after_outer_commit() {
+        let cfg = MachineConfig::small_test();
+        assert!(cfg.htm.partial_nesting);
+        let vms: [Box<dyn VersionManager>; 2] = [
+            Box::new(LogTmSe::new(cfg.n_cores, cfg.htm)),
+            Box::new(crate::fastm::FasTm::new(cfg.n_cores, cfg.htm)),
+        ];
+        for vm in vms {
+            let mut m = HtmMachine::new(&cfg, vm);
+            let mut t = 0;
+            t += m.begin_tx(t, 0, TxSite(1));
+            t += done(m.tx_store(t, 0, 0x100, 10)).1;
+            t += m.begin_tx(t, 0, TxSite(2));
+            for line in [0x100, 0x140, 0x180] {
+                t += done(m.tx_store(t, 0, line, 20)).1;
+            }
+            t += m.abort_nested(t, 0).expect("partial abort");
+            match m.commit_tx(t, 0) {
+                CommitOutcome::Committed { latency, .. } => t += latency,
+                other => panic!("{other:?}"),
+            }
+            let resident = m.sys.l1_len(0);
+            let mut evicted = 0;
+            for i in 0..2 * cfg.l1.lines() as u64 {
+                if let Some(ev) = m.sys.fill(t, 0, 0x10_0000 + i * 64, AccessKind::Load).evicted {
+                    assert!(!ev.speculative, "line {:#x} still marked after commit", ev.line);
+                    evicted += 1;
+                }
+            }
+            assert!(evicted >= resident, "flush evicted {evicted} of {resident} resident lines");
+        }
+    }
+
     #[test]
     fn abort_nested_returns_none_at_outer_level() {
         let mut m = machine();

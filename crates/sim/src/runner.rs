@@ -3,7 +3,8 @@
 //! One cell = one host thread. Every simulated core's async body is boxed
 //! into a [`CoreFuture`]; the executor polls exactly one of them at a
 //! time — always the scheduler's global-minimum core — and a suspended
-//! core costs a `Poll::Pending` return plus a heap pop to pick the next.
+//! core costs a `Poll::Pending` return plus one run-queue sift-down (a
+//! yield) or pop (a barrier wait) to pick the next.
 //! Nothing here parks, locks or touches an atomic; cross-cell
 //! parallelism comes from `pool.rs` fanning independent cells across
 //! host threads.

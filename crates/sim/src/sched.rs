@@ -15,9 +15,13 @@
 //! passed a baton with `thread::unpark`/`thread::park`, which put one
 //! mandatory OS context switch (~1–2 µs of kernel time) under every
 //! *taken* handoff. Here a core that must give up the CPU simply returns
-//! `Poll::Pending` into the executor, which pops the next `(time, id)`
-//! pair and polls that core's coroutine — a function return plus a heap
-//! pop, no atomics, no parks, no locks. Panic handling needs no protocol
+//! `Poll::Pending` into the executor, which polls the next core's
+//! coroutine — a function return plus one heap sift-down, no atomics, no
+//! parks, no locks. The yielding core is later than the queue head (or it
+//! would not yield), so it is written over the head in place and the
+//! displaced head is the core [`Scheduler::dispatch`] runs next; a push
+//! and a pop would reach the same queue at twice the cost. Panic handling
+//! needs no protocol
 //! either: a panicking workload body unwinds straight through the
 //! executor on the one and only thread (the old poison/park-wake dance is
 //! gone), and the irrevocable single-owner token is an ordinary
@@ -61,6 +65,12 @@ fn pack(t: Cycle, id: usize) -> u64 {
     (t << ID_BITS) | id as u64
 }
 
+/// The core id of a packed `(time, id)` word.
+#[inline]
+fn id_of(key: u64) -> usize {
+    (key & ((1 << ID_BITS) - 1)) as usize
+}
+
 /// Horizon value meaning "no other core is runnable": every packed
 /// `(t, tid)` compares `<=` to it, so the fast path always succeeds.
 const HORIZON_OPEN: u64 = u64::MAX;
@@ -68,9 +78,13 @@ const HORIZON_OPEN: u64 = u64::MAX;
 /// The mutable event-loop state. Grouped in one `RefCell` because every
 /// operation that touches the queue also touches the barrier bookkeeping.
 struct State {
-    /// Runnable cores, keyed by (wake time, id). The running core is
-    /// never in the queue.
-    queue: BinaryHeap<Reverse<(Cycle, usize)>>,
+    /// Runnable cores, keyed by packed (wake time, id). Keys are unique,
+    /// so the dispatch order is total. The running core is never in the
+    /// queue.
+    queue: BinaryHeap<Reverse<u64>>,
+    /// The queue head a taken yield displaced: out of the queue already,
+    /// it is the core [`Scheduler::dispatch`] runs next.
+    handoff: Option<usize>,
     /// Cores waiting at the barrier (id, arrival time).
     barrier_waiters: Vec<(usize, Cycle)>,
     /// Per-core barrier release time, written by the last arriver.
@@ -87,16 +101,13 @@ impl State {
         let tmax = self.barrier_waiters.iter().map(|(_, t)| *t).max().expect("non-empty");
         for (w, _) in std::mem::take(&mut self.barrier_waiters) {
             self.release_time[w] = tmax;
-            self.queue.push(Reverse((tmax, w)));
+            self.queue.push(Reverse(pack(tmax, w)));
         }
     }
 
     /// The packed horizon for the current queue head.
     fn horizon(&self) -> u64 {
-        match self.queue.peek() {
-            Some(Reverse((t, id))) => pack(*t, *id),
-            None => HORIZON_OPEN,
-        }
+        self.queue.peek().map_or(HORIZON_OPEN, |Reverse(key)| *key)
     }
 }
 
@@ -125,6 +136,7 @@ impl Scheduler {
         Scheduler {
             state: RefCell::new(State {
                 queue: BinaryHeap::new(),
+                handoff: None,
                 barrier_waiters: Vec::new(),
                 release_time: vec![0; n],
                 finished: 0,
@@ -191,9 +203,9 @@ impl Scheduler {
     pub fn start(&self) -> usize {
         let mut g = self.state.borrow_mut();
         for tid in 0..g.n {
-            g.queue.push(Reverse((0, tid)));
+            g.queue.push(Reverse(pack(0, tid)));
         }
-        let first = g.queue.pop().expect("non-empty").0 .1;
+        let first = id_of(g.queue.pop().expect("non-empty").0);
         self.horizon.set(g.horizon());
         first
     }
@@ -218,31 +230,37 @@ impl Scheduler {
 
     /// Slow path of a sync: decide against the queue whether to yield.
     /// Returns `false` when the caller is still the global minimum (it
-    /// keeps running); on `true` the caller was pushed back into the run
-    /// queue and must suspend — the executor then picks the new minimum
-    /// via [`Scheduler::dispatch`].
+    /// keeps running); on `true` the caller took the queue head's place
+    /// and must suspend — the executor then runs the displaced head via
+    /// [`Scheduler::dispatch`].
     pub fn yield_decision(&self, tid: usize, t: Cycle) -> bool {
+        let key = pack(t, tid);
         let mut g = self.state.borrow_mut();
-        match g.queue.peek() {
-            None => return false, // nobody else runnable: keep going
-            Some(Reverse((tmin, id))) => {
-                if (t, tid) <= (*tmin, *id) {
-                    return false; // still the minimum
-                }
+        let next = {
+            let Some(mut head) = g.queue.peek_mut() else {
+                return false; // nobody else runnable: keep going
+            };
+            if key <= head.0 {
+                return false; // still the minimum
             }
-        }
-        g.queue.push(Reverse((t, tid)));
+            // Dropping the guard sifts the caller down from the top.
+            id_of(std::mem::replace(&mut head.0, key))
+        };
+        g.handoff = Some(next);
         self.handoffs_taken.set(self.handoffs_taken.get() + 1);
         true
     }
 
-    /// Pop the next core to run and refresh the horizon. Called by the
-    /// executor after a core suspends; the queue is non-empty by
-    /// construction (a yielding core pushed itself, a barrier-blocked
-    /// core left a runnable sibling).
+    /// Take the next core to run and refresh the horizon. Called by the
+    /// executor after a core suspends: a yielding core left the head it
+    /// displaced, a barrier-blocked core left a runnable sibling in the
+    /// queue.
     pub fn dispatch(&self) -> usize {
         let mut g = self.state.borrow_mut();
-        let next = g.queue.pop().expect("suspended core left no successor").0 .1;
+        let next = match g.handoff.take() {
+            Some(next) => next,
+            None => id_of(g.queue.pop().expect("suspended core left no successor").0),
+        };
         self.horizon.set(g.horizon());
         next
     }
@@ -261,7 +279,7 @@ impl Scheduler {
             g.release_barrier();
         }
         match g.queue.peek() {
-            Some(Reverse((_, next))) if *next == tid => {
+            Some(Reverse(key)) if id_of(*key) == tid => {
                 g.queue.pop();
                 self.horizon.set(g.horizon());
                 true
@@ -288,7 +306,7 @@ impl Scheduler {
         if !g.barrier_waiters.is_empty() && g.barrier_waiters.len() + g.finished == g.n {
             g.release_barrier();
         }
-        let next = g.queue.pop().map(|Reverse((_, id))| id);
+        let next = g.queue.pop().map(|Reverse(key)| id_of(key));
         self.horizon.set(g.horizon());
         if let Some(next) = next {
             debug_assert_ne!(next, tid, "finished core re-dispatched");
@@ -301,24 +319,188 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// One step of a scripted core: spend cycles then sync, or arrive at
     /// the program barrier.
-    #[derive(Clone, Copy)]
+    #[derive(Clone, Copy, Debug)]
     enum Step {
         Work(u64),
         Barrier,
+    }
+
+    /// The scheduler API the executor + `ThreadCtx` pair drives, so the
+    /// same harness runs the real scheduler and the reference one.
+    trait Sched {
+        fn start(&mut self) -> usize;
+        fn fast_path(&self, tid: usize, t: Cycle) -> bool;
+        fn credit_elided(&mut self, n: u64);
+        fn yield_decision(&mut self, tid: usize, t: Cycle) -> bool;
+        fn dispatch(&mut self) -> usize;
+        fn barrier_arrive(&mut self, tid: usize, t: Cycle) -> bool;
+        fn barrier_release_time(&self, tid: usize) -> Cycle;
+        fn finish_core(&mut self, tid: usize) -> Option<usize>;
+        fn counters(&self) -> (u64, u64, u64);
+    }
+
+    impl Sched for Scheduler {
+        fn start(&mut self) -> usize {
+            Scheduler::start(self)
+        }
+        fn fast_path(&self, tid: usize, t: Cycle) -> bool {
+            Scheduler::fast_path(self, tid, t)
+        }
+        fn credit_elided(&mut self, n: u64) {
+            Scheduler::credit_elided(self, n);
+        }
+        fn yield_decision(&mut self, tid: usize, t: Cycle) -> bool {
+            Scheduler::yield_decision(self, tid, t)
+        }
+        fn dispatch(&mut self) -> usize {
+            Scheduler::dispatch(self)
+        }
+        fn barrier_arrive(&mut self, tid: usize, t: Cycle) -> bool {
+            Scheduler::barrier_arrive(self, tid, t)
+        }
+        fn barrier_release_time(&self, tid: usize) -> Cycle {
+            Scheduler::barrier_release_time(self, tid)
+        }
+        fn finish_core(&mut self, tid: usize) -> Option<usize> {
+            Scheduler::finish_core(self, tid)
+        }
+        fn counters(&self) -> (u64, u64, u64) {
+            (self.handoffs_taken(), self.handoffs_elided(), self.barrier_arrivals())
+        }
+    }
+
+    /// Reference copy of the push/pop discipline the swap-in-place yield
+    /// replaced: a taken yield pushes the caller, dispatch pops the
+    /// minimum. Kept only as the differential oracle for the real one.
+    struct PushPop {
+        queue: BinaryHeap<Reverse<(Cycle, usize)>>,
+        waiters: Vec<(usize, Cycle)>,
+        release_time: Vec<Cycle>,
+        finished: usize,
+        horizon: u64,
+        taken: u64,
+        elided: u64,
+        arrivals: u64,
+    }
+
+    impl PushPop {
+        fn new(n: usize) -> Self {
+            PushPop {
+                queue: BinaryHeap::new(),
+                waiters: Vec::new(),
+                release_time: vec![0; n],
+                finished: 0,
+                horizon: HORIZON_OPEN,
+                taken: 0,
+                elided: 0,
+                arrivals: 0,
+            }
+        }
+        fn refresh(&mut self) {
+            self.horizon = self.queue.peek().map_or(HORIZON_OPEN, |Reverse((t, id))| pack(*t, *id));
+        }
+        fn release_if_all_arrived(&mut self) {
+            if !self.waiters.is_empty()
+                && self.waiters.len() + self.finished == self.release_time.len()
+            {
+                let tmax = self.waiters.iter().map(|(_, t)| *t).max().expect("non-empty");
+                for (w, _) in std::mem::take(&mut self.waiters) {
+                    self.release_time[w] = tmax;
+                    self.queue.push(Reverse((tmax, w)));
+                }
+            }
+        }
+    }
+
+    impl Sched for PushPop {
+        fn start(&mut self) -> usize {
+            for tid in 0..self.release_time.len() {
+                self.queue.push(Reverse((0, tid)));
+            }
+            let first = self.queue.pop().expect("non-empty").0 .1;
+            self.refresh();
+            first
+        }
+        fn fast_path(&self, tid: usize, t: Cycle) -> bool {
+            pack(t, tid) <= self.horizon
+        }
+        fn credit_elided(&mut self, n: u64) {
+            self.elided += n;
+        }
+        fn yield_decision(&mut self, tid: usize, t: Cycle) -> bool {
+            match self.queue.peek() {
+                Some(Reverse(head)) if (t, tid) > *head => {
+                    self.queue.push(Reverse((t, tid)));
+                    self.taken += 1;
+                    true
+                }
+                _ => false,
+            }
+        }
+        fn dispatch(&mut self) -> usize {
+            let next = self.queue.pop().expect("suspended core left no successor").0 .1;
+            self.refresh();
+            next
+        }
+        fn barrier_arrive(&mut self, tid: usize, t: Cycle) -> bool {
+            self.arrivals += 1;
+            self.waiters.push((tid, t));
+            self.release_if_all_arrived();
+            match self.queue.peek() {
+                Some(Reverse((_, next))) if *next == tid => {
+                    self.queue.pop();
+                    self.refresh();
+                    true
+                }
+                Some(_) => {
+                    self.taken += 1;
+                    false
+                }
+                None => unreachable!("barrier with no runnable core and waiters pending"),
+            }
+        }
+        fn barrier_release_time(&self, tid: usize) -> Cycle {
+            self.release_time[tid]
+        }
+        fn finish_core(&mut self, _tid: usize) -> Option<usize> {
+            self.finished += 1;
+            self.release_if_all_arrived();
+            let next = self.queue.pop().map(|Reverse((_, id))| id);
+            self.refresh();
+            self.taken += u64::from(next.is_some());
+            next
+        }
+        fn counters(&self) -> (u64, u64, u64) {
+            (self.taken, self.elided, self.arrivals)
+        }
+    }
+
+    /// Everything a harness run observes: the (time, id) order of
+    /// completed syncs, the order cores were dispatched in, and each
+    /// core's barrier release times.
+    struct Observed {
+        log: Vec<(u64, usize)>,
+        dispatched: Vec<usize>,
+        releases: Vec<Vec<Cycle>>,
+    }
+
+    fn drive(scripts: &[Vec<Step>]) -> (Vec<(u64, usize)>, Vec<Vec<Cycle>>, Scheduler) {
+        let mut sched = Scheduler::new(scripts.len());
+        let o = drive_with(&mut sched, scripts);
+        (o.log, o.releases, sched)
     }
 
     /// Drive scripted cores through the raw scheduler API exactly the way
     /// the executor + `ThreadCtx` pair does: advance the clock, try the
     /// fast path, fall back to [`Scheduler::yield_decision`] /
     /// [`Scheduler::dispatch`], suspend at barriers, finish via
-    /// [`Scheduler::finish_core`]. Returns the observed (time, id) order
-    /// of completed syncs and each core's barrier release times.
-    fn drive(scripts: &[Vec<Step>]) -> (Vec<(u64, usize)>, Vec<Vec<Cycle>>, Scheduler) {
+    /// [`Scheduler::finish_core`].
+    fn drive_with<S: Sched>(sched: &mut S, scripts: &[Vec<Step>]) -> Observed {
         let n = scripts.len();
-        let sched = Scheduler::new(n);
         let mut at: Vec<usize> = vec![0; n];
         let mut clock: Vec<u64> = vec![0; n];
         // A sync completes when the core next runs; a barrier updates the
@@ -327,8 +509,10 @@ mod tests {
         let mut pending_barrier: Vec<bool> = vec![false; n];
         let mut log = Vec::new();
         let mut releases: Vec<Vec<Cycle>> = vec![Vec::new(); n];
+        let mut dispatched = Vec::new();
         let mut current = sched.start();
         'outer: loop {
+            dispatched.push(current);
             if let Some(t) = pending_sync[current].take() {
                 log.push((t, current));
             }
@@ -355,13 +539,16 @@ mod tests {
                         if sched.fast_path(current, t) {
                             sched.credit_elided(1);
                             log.push((t, current));
-                        } else if sched.yield_decision(current, t) {
+                        } else {
+                            // The horizon is exact, so a failed fast path
+                            // always yields.
+                            assert!(
+                                sched.yield_decision(current, t),
+                                "core {current} at t={t}: stale horizon"
+                            );
                             pending_sync[current] = Some(t);
                             current = sched.dispatch();
                             continue 'outer;
-                        } else {
-                            sched.credit_elided(1);
-                            log.push((t, current));
                         }
                     }
                     Step::Barrier => {
@@ -379,7 +566,34 @@ mod tests {
                 }
             }
         }
-        (log, releases, sched)
+        Observed { log, dispatched, releases }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The swap-in-place yield is an exact replacement for push/pop:
+        /// on random scripts (1..=16 cores, work steps including zero-cycle
+        /// ties, barriers one step in nine, early finishes) the dispatch
+        /// order, the sync log, every barrier release and every handoff
+        /// counter match the reference.
+        #[test]
+        fn swap_in_place_matches_push_pop(scripts in proptest::collection::vec(
+            proptest::collection::vec(
+                (0u8..9, 0u64..24).prop_map(|(k, dt)| if k == 0 { Step::Barrier } else { Step::Work(dt) }),
+                0..48,
+            ),
+            1..17,
+        )) {
+            let mut sched = Scheduler::new(scripts.len());
+            let got = drive_with(&mut sched, &scripts);
+            let mut reference = PushPop::new(scripts.len());
+            let want = drive_with(&mut reference, &scripts);
+            prop_assert_eq!(got.dispatched, want.dispatched);
+            prop_assert_eq!(got.log, want.log);
+            prop_assert_eq!(got.releases, want.releases);
+            prop_assert_eq!(Sched::counters(&sched), reference.counters());
+        }
     }
 
     /// Cores with interleaved clocks must observe a strictly time-ordered
